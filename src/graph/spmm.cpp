@@ -23,26 +23,28 @@ constexpr int kSpmmGroup = 16;
 /// per-lane accumulation order is exactly the runtime loop's (serial over
 /// the row's entries), so the specialization is a code-generation choice,
 /// never a bits choice. AXPBY selects `y = alpha*acc + beta*y` over plain
-/// assignment at compile time.
-template <int KK, bool AXPBY>
+/// assignment at compile time. UNIT fixes the row stride to 1 for K=1 (the
+/// `spmv` call), so the single-vector gather compiles to the plain row
+/// loop's addressing instead of a stride multiply per nonzero.
+template <int KK, bool AXPBY, bool UNIT = false>
 void spmm_chunk(const offset_t* row_map, const ordinal_t* entries, const scalar_t* values,
                 const scalar_t* __restrict x, scalar_t* __restrict y, scalar_t alpha,
                 scalar_t beta, int k_count, int kk, ordinal_t lo, ordinal_t hi) {
+  const std::size_t stride = UNIT ? 1 : static_cast<std::size_t>(k_count);
   for (ordinal_t i = lo; i < hi; ++i) {
     scalar_t acc[kSpmmGroup] = {};
     const offset_t jhi = row_map[i + 1];
     for (offset_t j = row_map[i]; j < jhi; ++j) {
       const scalar_t v = values[static_cast<std::size_t>(j)];
-      const scalar_t* xi = x +
-                           static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]) *
-                               static_cast<std::size_t>(k_count);
+      const scalar_t* xi =
+          x + static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]) * stride;
       if constexpr (KK > 0) {
         for (int k = 0; k < KK; ++k) acc[k] += v * xi[k];
       } else {
         for (int k = 0; k < kk; ++k) acc[k] += v * xi[k];
       }
     }
-    scalar_t* yi = y + static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
+    scalar_t* yi = y + static_cast<std::size_t>(i) * stride;
     const int kw = KK > 0 ? KK : kk;
     if constexpr (AXPBY) {
       for (int k = 0; k < kw; ++k) yi[k] = alpha * acc[k] + beta * yi[k];
@@ -62,6 +64,11 @@ void spmm_run(const CrsMatrix& a, std::span<const scalar_t> x, std::span<scalar_
   // so scheduling determinism is unchanged; dispatching per (chunk, column
   // group) keeps the width switch out of the row loop.
   par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
+    if (k_count == 1) {
+      spmm_chunk<1, AXPBY, true>(row_map, entries, values, x.data(), y.data(), alpha, beta, 1,
+                                 1, lo, hi);
+      return;
+    }
     for (int k0 = 0; k0 < k_count; k0 += kSpmmGroup) {
       const int kk = k_count - k0 < kSpmmGroup ? k_count - k0 : kSpmmGroup;
       const scalar_t* xg = x.data() + static_cast<std::size_t>(k0);

@@ -6,11 +6,8 @@
 /// how much fine material a coarse vertex stands for) need coarse graphs
 /// with vertex weights (aggregate sizes, so balance is preserved) and edge
 /// weights (collapsed fine-edge counts, so coarse cuts equal fine cuts).
-/// These types historically lived in the partition stack
-/// (`partition/coarsen_weighted.hpp`, which now re-exports them); they
-/// moved here when the multilevel `Builder` unified the three level loops,
-/// because weighted contraction is a property of the hierarchy, not of any
-/// one consumer.
+/// They live here, not in the partition stack, because weighted
+/// contraction is a property of the hierarchy, not of any one consumer.
 ///
 /// `coarsen_weighted` is deterministic for any backend/thread count; the
 /// workspace overload reuses the contraction maps (member offsets/lists and

@@ -16,9 +16,11 @@
 
 #include "core/mis2.hpp"
 #include "graph/crs.hpp"
-#include "partition/coarsen_weighted.hpp"
+#include "multilevel/weighted.hpp"
 
 namespace parmis::partition {
+
+using multilevel::WeightedGraph;
 
 /// Coarsening scheme used inside the multilevel partitioner. Maps onto the
 /// core `Coarsener` registry ("mis2" / "hem"); set

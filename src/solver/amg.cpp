@@ -6,11 +6,10 @@
 #include <stdexcept>
 
 #include "coloring/d2c_aggregation.hpp"
-#include "common/timer.hpp"
 #include "graph/ops.hpp"
 #include "graph/spgemm.hpp"
 #include "graph/spmm.hpp"
-#include "graph/spmv.hpp"
+#include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "resilience/fault.hpp"
 #include "resilience/status.hpp"
@@ -247,182 +246,102 @@ void AmgHierarchy::finish_setup() {
     bottom_solve_ = "smoother";
   }
 
-  // V-cycle workspaces, including the smoother scratch: apply()/vcycle()
-  // never allocate.
-  work_r_.resize(levels.size());
-  work_bc_.resize(levels.size());
-  work_xc_.resize(levels.size());
-  work_s1_.resize(levels.size());
-  work_s2_.resize(levels.size());
-  work_s3_.resize(levels.size());
-  for (std::size_t i = 0; i < levels.size(); ++i) {
-    const std::size_t n = static_cast<std::size_t>(levels[i].a.num_rows);
-    work_r_[i].resize(n);
-    work_s1_[i].resize(n);
-    if (opts_.smoother == SmootherType::Chebyshev) {
-      work_s2_[i].resize(n);
-      work_s3_[i].resize(n);
-    }
-    if (i + 1 < levels.size()) {
-      const std::size_t nc = static_cast<std::size_t>(levels[i + 1].a.num_rows);
-      work_bc_[i].resize(nc);
-      work_xc_[i].resize(nc);
-    }
-  }
-  // Multi-vector workspaces are demand-grown by ensure_mwork(); a fresh
-  // setup just resets the width so stale level shapes are never reused.
-  mwork_r_.assign(levels.size(), {});
-  mwork_bc_.assign(levels.size(), {});
-  mwork_xc_.assign(levels.size(), {});
-  mwork_s1_.assign(levels.size(), {});
-  mwork_s2_.assign(levels.size(), {});
-  mwork_s3_.assign(levels.size(), {});
-  mwork_k_ = 0;
+  // V-cycle workspaces, including the smoother scratch. A fresh setup
+  // drops any stale level shapes, then sizes them for K=1 so single-RHS
+  // apply()/vcycle() never allocate.
+  work_.assign(levels.size(), {});
+  work_k_ = 0;
+  ensure_work(1);
 }
 
-void AmgHierarchy::ensure_mwork(int k_count) const {
-  if (k_count <= mwork_k_) return;
+void AmgHierarchy::ensure_work(int k_count) const {
+  if (k_count <= work_k_) return;
   const std::vector<AmgLevel>& levels = handle_.ops();
   const std::size_t uk = static_cast<std::size_t>(k_count);
   for (std::size_t i = 0; i < levels.size(); ++i) {
+    LevelWork& w = work_[i];
     const std::size_t n = static_cast<std::size_t>(levels[i].a.num_rows);
-    mwork_r_[i].resize(n * uk);
-    mwork_s1_[i].resize(n * uk);
+    w.r.resize(n * uk);
+    w.s1.resize(n * uk);
     if (opts_.smoother == SmootherType::Chebyshev) {
-      mwork_s2_[i].resize(n * uk);
-      mwork_s3_[i].resize(n * uk);
+      w.s2.resize(n * uk);
+      w.s3.resize(n * uk);
     }
     if (i + 1 < levels.size()) {
       const std::size_t nc = static_cast<std::size_t>(levels[i + 1].a.num_rows);
-      mwork_bc_[i].resize(nc * uk);
-      mwork_xc_[i].resize(nc * uk);
+      w.bc.resize(nc * uk);
+      w.xc.resize(nc * uk);
     }
   }
-  mwork_k_ = k_count;
+  work_k_ = k_count;
 }
 
 void AmgHierarchy::smooth_level(std::size_t lvl, std::span<const scalar_t> rhs,
-                                std::span<scalar_t> sol) const {
+                                std::span<scalar_t> sol, int k_count) const {
   const AmgLevel& level = handle_.ops()[lvl];
-  if (chebyshev_[lvl]) {
-    for (int s = 0; s < opts_.smoother_sweeps; ++s) {
-      chebyshev_[lvl]->smooth(level.a, rhs, sol, work_s1_[lvl], work_s2_[lvl], work_s3_[lvl]);
-    }
-  } else {
-    jacobi_smooth(level.a, level.inv_diag, rhs, sol, opts_.smoother_sweeps, opts_.jacobi_omega,
-                  work_s1_[lvl]);
-  }
-}
-
-void AmgHierarchy::cycle_level(std::size_t lvl, std::span<const scalar_t> b,
-                               std::span<scalar_t> x) const {
-  const std::vector<AmgLevel>& levels = handle_.ops();
-  const AmgLevel& level = levels[lvl];
-  if (lvl + 1 == levels.size()) {
-    if (coarse_lu_) {
-      coarse_lu_->solve(b, x);
-    } else {
-      smooth_level(lvl, b, x);
-    }
-    return;
-  }
-
-  auto smooth = [&](std::span<const scalar_t> rhs, std::span<scalar_t> sol) {
-    smooth_level(lvl, rhs, sol);
-  };
-
-  // Pre-smooth.
-  smooth(b, x);
-
-  // Coarse-grid correction.
-  std::span<scalar_t> r(work_r_[lvl]);
-  graph::spmv(level.a, x, r);
-  axpby(1.0, b, -1.0, r);  // r = b - A x
-  std::span<scalar_t> bc(work_bc_[lvl]);
-  graph::spmv(level.r, r, bc);
-  std::span<scalar_t> xc(work_xc_[lvl]);
-  fill(xc, 0.0);
-  cycle_level(lvl + 1, bc, xc);
-  // x += P xc
-  graph::spmv(1.0, level.p, xc, 0.0, r);
-  axpby(1.0, r, 1.0, x);
-
-  // Post-smooth.
-  smooth(b, x);
-}
-
-void AmgHierarchy::smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
-                                      std::span<scalar_t> sol, int k_count) const {
-  const AmgLevel& level = handle_.ops()[lvl];
+  LevelWork& w = work_[lvl];
   const std::size_t nk =
       static_cast<std::size_t>(level.a.num_rows) * static_cast<std::size_t>(k_count);
   if (chebyshev_[lvl]) {
     for (int s = 0; s < opts_.smoother_sweeps; ++s) {
-      chebyshev_[lvl]->smooth_multi(level.a, rhs, sol,
-                                    std::span<scalar_t>(mwork_s1_[lvl].data(), nk),
-                                    std::span<scalar_t>(mwork_s2_[lvl].data(), nk),
-                                    std::span<scalar_t>(mwork_s3_[lvl].data(), nk), k_count);
+      chebyshev_[lvl]->smooth(level.a, rhs, sol, std::span<scalar_t>(w.s1.data(), nk),
+                              std::span<scalar_t>(w.s2.data(), nk),
+                              std::span<scalar_t>(w.s3.data(), nk), k_count);
     }
   } else {
-    jacobi_smooth_multi(level.a, level.inv_diag, rhs, sol, opts_.smoother_sweeps,
-                        opts_.jacobi_omega, std::span<scalar_t>(mwork_s1_[lvl].data(), nk),
-                        k_count);
+    jacobi_smooth(level.a, level.inv_diag, rhs, sol, opts_.smoother_sweeps, opts_.jacobi_omega,
+                  std::span<scalar_t>(w.s1.data(), nk), k_count);
   }
 }
 
-void AmgHierarchy::cycle_level_multi(std::size_t lvl, std::span<const scalar_t> b,
-                                     std::span<scalar_t> x, int k_count) const {
+void AmgHierarchy::cycle_level(std::size_t lvl, std::span<const scalar_t> b,
+                               std::span<scalar_t> x, int k_count) const {
   const std::vector<AmgLevel>& levels = handle_.ops();
   const AmgLevel& level = levels[lvl];
   const std::size_t uk = static_cast<std::size_t>(k_count);
   if (lvl + 1 == levels.size()) {
     if (coarse_lu_) {
-      coarse_lu_->solve_multi(b, x, k_count);
+      coarse_lu_->solve(b, x, k_count);
     } else {
-      smooth_level_multi(lvl, b, x, k_count);
+      smooth_level(lvl, b, x, k_count);
     }
     return;
   }
 
   // Pre-smooth.
-  smooth_level_multi(lvl, b, x, k_count);
+  smooth_level(lvl, b, x, k_count);
 
-  // Coarse-grid correction — one fused kernel per grid transfer; per
-  // column this is exactly the cycle_level op sequence.
+  // Coarse-grid correction, one fused kernel per grid transfer.
+  LevelWork& w = work_[lvl];
   const ordinal_t n = level.a.num_rows;
-  std::span<scalar_t> r(mwork_r_[lvl].data(), static_cast<std::size_t>(n) * uk);
+  std::span<scalar_t> r(w.r.data(), static_cast<std::size_t>(n) * uk);
   graph::spmm(level.a, x, r, k_count);
   mv_axpby(1.0, b, -1.0, r, n, k_count);  // R = B - A X
   const ordinal_t nc = levels[lvl + 1].a.num_rows;
-  std::span<scalar_t> bc(mwork_bc_[lvl].data(), static_cast<std::size_t>(nc) * uk);
+  std::span<scalar_t> bc(w.bc.data(), static_cast<std::size_t>(nc) * uk);
   graph::spmm(level.r, r, bc, k_count);
-  std::span<scalar_t> xc(mwork_xc_[lvl].data(), static_cast<std::size_t>(nc) * uk);
+  std::span<scalar_t> xc(w.xc.data(), static_cast<std::size_t>(nc) * uk);
   fill(xc, 0.0);
-  cycle_level_multi(lvl + 1, bc, xc, k_count);
+  cycle_level(lvl + 1, bc, xc, k_count);
   // X += P Xc
   graph::spmm(1.0, level.p, xc, 0.0, r, k_count);
   mv_axpby(1.0, r, 1.0, x, n, k_count);
 
   // Post-smooth.
-  smooth_level_multi(lvl, b, x, k_count);
+  smooth_level(lvl, b, x, k_count);
 }
 
 void AmgHierarchy::vcycle(std::span<const scalar_t> b, std::span<scalar_t> x) const {
-  cycle_level(0, b, x);
+  cycle_level(0, b, x, 1);
 }
 
-void AmgHierarchy::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  fill(z, 0.0);
-  cycle_level(0, r, z);
-}
-
-void AmgHierarchy::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                               int k_count, std::span<scalar_t> /*scratch*/) const {
+void AmgHierarchy::apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+                         int k_count) const {
   assert(n == handle_.ops().front().a.num_rows);
-  ensure_mwork(k_count);
+  ensure_work(k_count);
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
-  fill(std::span<scalar_t>(z.data(), nk), 0.0);
-  cycle_level_multi(0, r.subspan(0, nk), std::span<scalar_t>(z.data(), nk), k_count);
+  fill(z.subspan(0, nk), 0.0);
+  cycle_level(0, r.subspan(0, nk), z.subspan(0, nk), k_count);
 }
 
 std::string AmgHierarchy::name() const {

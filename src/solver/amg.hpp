@@ -126,25 +126,23 @@ class AmgHierarchy final : public Preconditioner {
   /// coarse LU. Throws std::invalid_argument on a structure mismatch.
   void rebuild(const graph::CrsMatrix& a_fine);
 
-  /// One V-cycle on A z = r from z = 0.
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
+  using Preconditioner::apply;
+  /// One V-cycle on A Z = R from Z = 0 over n x k_count row-major
+  /// multi-vectors: every grid transfer and smoother application is one
+  /// fused multi-vector kernel, and column c of the result is bit-identical
+  /// to the K=1 apply on the gathered column. The per-level workspaces are
+  /// sized for K=1 at setup and grown to the widest batch seen, so repeat
+  /// applications at the same (or smaller) width allocate nothing.
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+             int k_count) const override;
 
-  /// Grows the per-level multi-vector workspaces to batch width `k_count`
-  /// so batched applies up to that width allocate nothing.
+  /// Grows the per-level workspaces to batch width `k_count` so applies up
+  /// to that width allocate nothing.
   bool prepare_multi(ordinal_t /*n*/, int k_count) override {
-    const bool growing = k_count > mwork_k_;
-    ensure_mwork(k_count);
+    const bool growing = k_count > work_k_;
+    ensure_work(k_count);
     return growing;
   }
-
-  /// Batched V-cycle over n x k_count row-major multi-vectors: every grid
-  /// transfer and smoother application is one fused multi-vector kernel,
-  /// and column c of the result is bit-identical to `apply` on the
-  /// gathered column. Multi-vector workspaces are grown lazily the first
-  /// time a given batch width is seen; repeat applications at the same (or
-  /// smaller) width allocate nothing.
-  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                   int k_count, std::span<scalar_t> scratch) const override;
 
   [[nodiscard]] std::string name() const override;
 
@@ -174,15 +172,12 @@ class AmgHierarchy final : public Preconditioner {
   [[nodiscard]] const char* bottom_solve() const { return bottom_solve_; }
 
  private:
-  void cycle_level(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x) const;
-  void smooth_level(std::size_t lvl, std::span<const scalar_t> rhs,
-                    std::span<scalar_t> sol) const;
-  void cycle_level_multi(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x,
-                         int k_count) const;
-  void smooth_level_multi(std::size_t lvl, std::span<const scalar_t> rhs,
-                          std::span<scalar_t> sol, int k_count) const;
-  /// Grow the per-level multi-vector workspaces to batch width `k_count`.
-  void ensure_mwork(int k_count) const;
+  void cycle_level(std::size_t lvl, std::span<const scalar_t> b, std::span<scalar_t> x,
+                   int k_count) const;
+  void smooth_level(std::size_t lvl, std::span<const scalar_t> rhs, std::span<scalar_t> sol,
+                    int k_count) const;
+  /// Grow the per-level workspaces to batch width `k_count`.
+  void ensure_work(int k_count) const;
   /// Smoothers, coarse LU, and V-cycle workspaces for the current levels.
   void finish_setup();
 
@@ -194,17 +189,16 @@ class AmgHierarchy final : public Preconditioner {
   AmgOptions opts_;
   double aggregation_seconds_{0};
   double setup_seconds_{0};
-  // Per-level work vectors for the V-cycle (sized at build, so apply() and
-  // vcycle() perform zero heap allocations — the warm-solve contract).
-  mutable std::vector<std::vector<scalar_t>> work_r_, work_bc_, work_xc_;
-  // Per-level smoother scratch: s1 is the Jacobi double-buffer (always
-  // sized); s2/s3 complete the Chebyshev triple when that smoother is on.
-  mutable std::vector<std::vector<scalar_t>> work_s1_, work_s2_, work_s3_;
-  // Multi-vector twins of the above, grown lazily by ensure_mwork() to the
-  // widest batch seen (apply_multi at width <= mwork_k_ allocates nothing).
-  mutable std::vector<std::vector<scalar_t>> mwork_r_, mwork_bc_, mwork_xc_;
-  mutable std::vector<std::vector<scalar_t>> mwork_s1_, mwork_s2_, mwork_s3_;
-  mutable int mwork_k_ = 0;
+  /// One level's V-cycle workspace: residual, coarse rhs/solution, and the
+  /// smoother scratch (s1 is the Jacobi double buffer; s2/s3 complete the
+  /// Chebyshev triple when that smoother is on).
+  struct LevelWork {
+    std::vector<scalar_t> r, bc, xc, s1, s2, s3;
+  };
+  // Sized for K=1 at setup so single-RHS apply() and vcycle() never
+  // allocate; ensure_work() grows them to the widest batch seen.
+  mutable std::vector<LevelWork> work_;
+  mutable int work_k_ = 0;
 };
 
 /// Dispatch helper shared with benches/tests: run the chosen aggregation

@@ -126,7 +126,6 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
   std::span<scalar_t> z_mv = ws.vec(1, nk);
   std::span<scalar_t> p_mv = ws.vec(2, nk);
   std::span<scalar_t> ap_mv = ws.vec(3, nk);
-  std::span<scalar_t> prec_scratch = ws.vec(4, 2 * un);
 
   // R = B - A X
   graph::spmm(a, x, r_mv, k_count);
@@ -134,7 +133,7 @@ void block_cg_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
   auto precondition = [&](std::span<const scalar_t> in, std::span<scalar_t> out) {
     if (prec) {
-      prec->apply_multi(in, out, n, k_count, prec_scratch);
+      prec->apply(in, out, n, k_count);
     } else {
       mv_copy(in, out);
     }
@@ -301,11 +300,10 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                    sc];
   };
 
-  // Multi-vector slots: basis 0..m, then w, tmp, op, preconditioner
-  // scratch. Touch them all up front so the pool never reallocates
-  // mid-solve (and so the workspace.alloc fault fires here).
+  // Multi-vector slots: basis 0..m, then w, tmp, op. Touch them all up
+  // front so the pool never reallocates mid-solve (and so the
+  // workspace.alloc fault fires here).
   for (int i = 0; i <= m + 3; ++i) ws.vec(static_cast<std::size_t>(i), nk);
-  std::span<scalar_t> prec_scratch = ws.vec(static_cast<std::size_t>(m) + 4, 2 * un);
   auto basis = [&](int i) {
     return std::span<scalar_t>(ws.pool[static_cast<std::size_t>(i)].data(), nk);
   };
@@ -315,7 +313,7 @@ void block_gmres_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,
 
   auto apply_right_prec = [&](std::span<const scalar_t> in, std::span<scalar_t> out) {
     if (prec) {
-      prec->apply_multi(in, out, n, k_count, prec_scratch);
+      prec->apply(in, out, n, k_count);
     } else {
       mv_copy(in, out);
     }

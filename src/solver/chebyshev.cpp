@@ -62,61 +62,9 @@ void ChebyshevSmoother::reestimate(const graph::CrsMatrix& a) {
 }
 
 void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                               std::span<scalar_t> x) const {
-  const std::size_t n = static_cast<std::size_t>(a.num_rows);
-  std::vector<scalar_t> r(n);   // preconditioned residual
-  std::vector<scalar_t> d(n);   // search update
-  std::vector<scalar_t> ad(n);  // A d scratch
-  smooth(a, b, x, r, d, ad);
-}
-
-void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
                                std::span<scalar_t> x, std::span<scalar_t> r,
-                               std::span<scalar_t> d, std::span<scalar_t> ad) const {
-  const ordinal_t n = a.num_rows;
-  assert(b.size() == static_cast<std::size_t>(n) && x.size() == static_cast<std::size_t>(n));
-  assert(r.size() == static_cast<std::size_t>(n) && d.size() == static_cast<std::size_t>(n) &&
-         ad.size() == static_cast<std::size_t>(n));
-
-  // Three-term Chebyshev recurrence on the split-preconditioned system
-  // (Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1).
-  const scalar_t theta = 0.5 * (lambda_max_ + lambda_min_);
-  const scalar_t delta = 0.5 * (lambda_max_ - lambda_min_);
-  const scalar_t sigma1 = theta / delta;
-
-  // r = D^{-1} (b - A x); d = r / theta; x += d.
-  graph::spmv(a, x, r);
-  par::parallel_for(n, [&](ordinal_t i) {
-    const scalar_t pr = inv_diag_[static_cast<std::size_t>(i)] *
-                        (b[static_cast<std::size_t>(i)] - r[static_cast<std::size_t>(i)]);
-    r[static_cast<std::size_t>(i)] = pr;
-    d[static_cast<std::size_t>(i)] = pr / theta;
-  });
-  axpby(1.0, d, 1.0, x);
-
-  scalar_t rho_prev = 1.0 / sigma1;
-  for (int k = 1; k < degree_; ++k) {
-    // r -= D^{-1} A d
-    graph::spmv(a, d, ad);
-    par::parallel_for(n, [&](ordinal_t i) {
-      r[static_cast<std::size_t>(i)] -=
-          inv_diag_[static_cast<std::size_t>(i)] * ad[static_cast<std::size_t>(i)];
-    });
-    const scalar_t rho = 1.0 / (2.0 * sigma1 - rho_prev);
-    // d = (rho * rho_prev) d + (2 rho / delta) r
-    par::parallel_for(n, [&](ordinal_t i) {
-      d[static_cast<std::size_t>(i)] = rho * rho_prev * d[static_cast<std::size_t>(i)] +
-                                       2.0 * rho / delta * r[static_cast<std::size_t>(i)];
-    });
-    axpby(1.0, d, 1.0, x);
-    rho_prev = rho;
-  }
-}
-
-void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                                     std::span<scalar_t> x, std::span<scalar_t> r,
-                                     std::span<scalar_t> d, std::span<scalar_t> ad,
-                                     int k_count) const {
+                               std::span<scalar_t> d, std::span<scalar_t> ad,
+                               int k_count) const {
   const ordinal_t n = a.num_rows;
   const std::size_t uk = static_cast<std::size_t>(k_count);
   [[maybe_unused]] const std::size_t nk = static_cast<std::size_t>(n) * uk;
@@ -124,6 +72,8 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
   assert(b.size() >= nk && x.size() >= nk);
   assert(r.size() >= nk && d.size() >= nk && ad.size() >= nk);
 
+  // Three-term Chebyshev recurrence on the split-preconditioned system
+  // (Saad, "Iterative Methods for Sparse Linear Systems", Alg. 12.1).
   const scalar_t theta = 0.5 * (lambda_max_ + lambda_min_);
   const scalar_t delta = 0.5 * (lambda_max_ - lambda_min_);
   const scalar_t sigma1 = theta / delta;
@@ -144,6 +94,7 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
 
   scalar_t rho_prev = 1.0 / sigma1;
   for (int k = 1; k < degree_; ++k) {
+    // R -= D^{-1} A D
     graph::spmm(a, d, ad, k_count);
     par::parallel_for(n, [&](ordinal_t i) {
       const std::size_t base = static_cast<std::size_t>(i) * uk;
@@ -153,6 +104,7 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
       }
     });
     const scalar_t rho = 1.0 / (2.0 * sigma1 - rho_prev);
+    // D = (rho * rho_prev) D + (2 rho / delta) R
     par::parallel_for(n, [&](ordinal_t i) {
       const std::size_t base = static_cast<std::size_t>(i) * uk;
       for (int c = 0; c < k_count; ++c) {
@@ -163,6 +115,15 @@ void ChebyshevSmoother::smooth_multi(const graph::CrsMatrix& a, std::span<const 
     mv_axpby(1.0, d, 1.0, x, n, k_count);
     rho_prev = rho;
   }
+}
+
+void ChebyshevSmoother::smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
+                               std::span<scalar_t> x) const {
+  const std::size_t n = static_cast<std::size_t>(a.num_rows);
+  std::vector<scalar_t> r(n);   // preconditioned residual
+  std::vector<scalar_t> d(n);   // search update
+  std::vector<scalar_t> ad(n);  // A d scratch
+  smooth(a, b, x, r, d, ad);
 }
 
 void chebyshev_solve(const graph::CrsMatrix& a, std::span<const scalar_t> b,

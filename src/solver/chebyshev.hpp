@@ -26,24 +26,20 @@ class ChebyshevSmoother {
   explicit ChebyshevSmoother(const graph::CrsMatrix& a, int degree = 2,
                              scalar_t eig_ratio = 20.0);
 
-  /// One application: x <- x + p(D⁻¹A) D⁻¹ (b - A x). Allocates its three
-  /// temporaries; prefer the scratch overload on hot paths.
+  /// One application: x <- x + p(D⁻¹A) D⁻¹ (b - A x), over n x k_count
+  /// row-major multi-vectors: every matrix application is one `spmm` and
+  /// the recurrence runs per lane, so column c is bit-identical to the K=1
+  /// call on the gathered column. Allocation-free: `r`, `d`, `ad` are
+  /// caller-owned scratch of `a.num_rows * k_count` elements each. This is
+  /// what the AMG V-cycle and the "chebyshev" registry solver use for
+  /// zero-allocation warm runs.
+  void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
+              std::span<scalar_t> r, std::span<scalar_t> d, std::span<scalar_t> ad,
+              int k_count = 1) const;
+
+  /// Single-vector `smooth` that allocates its three temporaries.
   void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b,
               std::span<scalar_t> x) const;
-
-  /// Allocation-free application into caller-owned scratch (`r`, `d`, `ad`
-  /// must each have `a.num_rows` elements). This is what the AMG V-cycle
-  /// and the "chebyshev" registry solver use for zero-allocation warm runs.
-  void smooth(const graph::CrsMatrix& a, std::span<const scalar_t> b, std::span<scalar_t> x,
-              std::span<scalar_t> r, std::span<scalar_t> d, std::span<scalar_t> ad) const;
-
-  /// Batched application over n x k_count row-major multi-vectors: every
-  /// matrix application is one `spmm` and the recurrence runs per lane, so
-  /// column c is bit-identical to `smooth` on the gathered column. Scratch
-  /// spans need `a.num_rows * k_count` elements each.
-  void smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> b,
-                    std::span<scalar_t> x, std::span<scalar_t> r, std::span<scalar_t> d,
-                    std::span<scalar_t> ad, int k_count) const;
 
   /// Warm-rebuild hook: refresh the inverted diagonal and re-run the power
   /// iteration against `a` (same shape, new values) without allocating.

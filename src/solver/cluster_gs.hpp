@@ -83,7 +83,14 @@ class ClusterGsPreconditioner final : public Preconditioner {
                           const Context& ctx = Context::default_ctx())
       : a_(a), gs_(a, coarsener, mis2_opts, ctx), sweeps_(sweeps) {}
 
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
+  using Preconditioner::apply;
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+             int k_count) const override {
+    symmetric_gs_apply(gs_, a_, sweeps_, r, z, n, k_count, columns_);
+  }
+  bool prepare_multi(ordinal_t n, int k_count) override {
+    return grow_column_scratch(columns_, n, k_count);
+  }
   [[nodiscard]] std::string name() const override { return "cluster-multicolor-sgs"; }
   [[nodiscard]] const ClusterMulticolorGS& gs() const { return gs_; }
 
@@ -91,6 +98,7 @@ class ClusterGsPreconditioner final : public Preconditioner {
   const graph::CrsMatrix& a_;
   ClusterMulticolorGS gs_;
   int sweeps_;
+  mutable std::vector<scalar_t> columns_;  ///< batch column gather buffers
 };
 
 }  // namespace parmis::solver

@@ -27,13 +27,10 @@ class DenseLU {
   /// successful refactor.
   void refactor(const graph::CrsMatrix& a, scalar_t diag_shift = 0);
 
-  /// Solve A x = b.
-  void solve(std::span<const scalar_t> b, std::span<scalar_t> x) const;
-
-  /// Batched solve over n x k_count row-major multi-vectors: column c runs
-  /// exactly the substitution sequence of `solve` on the gathered column
-  /// (bit-identical), with no scratch.
-  void solve_multi(std::span<const scalar_t> b, std::span<scalar_t> x, int k_count) const;
+  /// Solve A X = B for n x k_count row-major multi-vectors: column c runs
+  /// the forward and back substitution on its own lane, so it is
+  /// bit-identical to the K=1 call on the gathered column. No scratch.
+  void solve(std::span<const scalar_t> b, std::span<scalar_t> x, int k_count = 1) const;
 
   [[nodiscard]] ordinal_t size() const { return n_; }
 

@@ -2,10 +2,9 @@
 
 #include <cassert>
 
-#include "common/timer.hpp"
+#include "obs/timer.hpp"
 #include "parallel/parallel_for.hpp"
 #include "solver/jacobi.hpp"
-#include "solver/vector_ops.hpp"
 
 namespace parmis::solver {
 
@@ -70,13 +69,6 @@ void PointMulticolorGS::symmetric_sweep(const graph::CrsMatrix& a, std::span<con
                                         std::span<scalar_t> x) const {
   sweep(a, b, x, SweepDirection::Forward);
   sweep(a, b, x, SweepDirection::Backward);
-}
-
-void PointGsPreconditioner::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  fill(z, 0.0);
-  for (int s = 0; s < sweeps_; ++s) {
-    gs_.symmetric_sweep(a_, r, z);
-  }
 }
 
 }  // namespace parmis::solver

@@ -18,6 +18,7 @@
 #include "graph/crs.hpp"
 #include "parallel/context.hpp"
 #include "solver/preconditioner.hpp"
+#include "solver/vector_ops.hpp"
 
 namespace parmis::solver {
 
@@ -55,6 +56,44 @@ class PointMulticolorGS {
   double setup_seconds_{0};
 };
 
+/// Grows `scratch` to what `symmetric_gs_apply` needs at batch width
+/// `k_count` on n rows; true when it grew.
+inline bool grow_column_scratch(std::vector<scalar_t>& scratch, ordinal_t n, int k_count) {
+  const std::size_t need = k_count > 1 ? 2 * static_cast<std::size_t>(n) : 0;
+  if (scratch.size() >= need) return false;
+  scratch.resize(need);
+  return true;
+}
+
+/// The apply shared by "gs" and "cluster-gs": `sweeps` symmetric sweeps
+/// of `gs` on A Z = R from Z = 0, over n x k_count row-major
+/// multi-vectors. Gauss-Seidel updates are sequential within a column, so
+/// a batch sweeps one column at a time, gathered into `scratch` (grown on
+/// first use; `prepare_multi` sizes it up front). K=1 sweeps in place.
+template <class Gs>
+void symmetric_gs_apply(const Gs& gs, const graph::CrsMatrix& a, int sweeps,
+                        std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+                        int k_count, std::vector<scalar_t>& scratch) {
+  const std::size_t un = static_cast<std::size_t>(n);
+  const auto run = [&](std::span<const scalar_t> rc, std::span<scalar_t> zc) {
+    fill(zc, 0.0);
+    for (int s = 0; s < sweeps; ++s) gs.symmetric_sweep(a, rc, zc);
+  };
+  if (k_count == 1) {
+    run(r.subspan(0, un), z.subspan(0, un));
+    return;
+  }
+  (void)grow_column_scratch(scratch, n, k_count);
+  const std::size_t uk = static_cast<std::size_t>(k_count);
+  const std::span<scalar_t> rc(scratch.data(), un);
+  const std::span<scalar_t> zc(scratch.data() + un, un);
+  for (std::size_t c = 0; c < uk; ++c) {
+    for (std::size_t i = 0; i < un; ++i) rc[i] = r[i * uk + c];
+    run(rc, zc);
+    for (std::size_t i = 0; i < un; ++i) z[i * uk + c] = zc[i];
+  }
+}
+
 /// Preconditioner adapter: z = M^{-1} r approximated by `sweeps` symmetric
 /// point-multicolor GS sweeps on A z = r starting from z = 0.
 class PointGsPreconditioner final : public Preconditioner {
@@ -63,7 +102,14 @@ class PointGsPreconditioner final : public Preconditioner {
                         const Context& ctx = Context::default_ctx())
       : a_(a), gs_(a, ctx), sweeps_(sweeps) {}
 
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
+  using Preconditioner::apply;
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+             int k_count) const override {
+    symmetric_gs_apply(gs_, a_, sweeps_, r, z, n, k_count, columns_);
+  }
+  bool prepare_multi(ordinal_t n, int k_count) override {
+    return grow_column_scratch(columns_, n, k_count);
+  }
   [[nodiscard]] std::string name() const override { return "point-multicolor-sgs"; }
   [[nodiscard]] const PointMulticolorGS& gs() const { return gs_; }
 
@@ -71,6 +117,7 @@ class PointGsPreconditioner final : public Preconditioner {
   const graph::CrsMatrix& a_;
   PointMulticolorGS gs_;
   int sweeps_;
+  mutable std::vector<scalar_t> columns_;  ///< batch column gather buffers
 };
 
 }  // namespace parmis::solver

@@ -19,31 +19,32 @@ constexpr int kJacobiGroup = 16;
 
 /// One chunk of rows × one column group of a damped-Jacobi sweep: the row
 /// traversal feeds KK register accumulators and the write-out applies
-/// `x_next = x + omega * inv_diag[i] * (b - acc)` per lane — the exact
-/// expression (and evaluation order) of the single-vector sweep, so column
-/// c is bit-identical to `jacobi_smooth` on the gathered column. KK = 0
-/// selects the runtime-width remainder loop.
-template <int KK>
+/// `x_next = x + omega * inv_diag[i] * (b - acc)` per lane, with the row
+/// accumulating in entry order, so column c is bit-identical to the K=1
+/// sweep on the gathered column. KK = 0 selects the runtime-width
+/// remainder loop; UNIT fixes the row stride to 1 for K=1, as in
+/// `graph::spmm`.
+template <int KK, bool UNIT = false>
 void jacobi_sweep_chunk(const offset_t* row_map, const ordinal_t* entries,
                         const scalar_t* values, const scalar_t* inv_diag,
                         const scalar_t* __restrict b, const scalar_t* __restrict x,
                         scalar_t* __restrict x_next, scalar_t omega, int k_count, int kk,
                         ordinal_t lo, ordinal_t hi) {
+  const std::size_t stride = UNIT ? 1 : static_cast<std::size_t>(k_count);
   for (ordinal_t i = lo; i < hi; ++i) {
     scalar_t acc[kJacobiGroup] = {};
     const offset_t jhi = row_map[i + 1];
     for (offset_t j = row_map[i]; j < jhi; ++j) {
       const scalar_t v = values[static_cast<std::size_t>(j)];
-      const scalar_t* xi = x +
-                           static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]) *
-                               static_cast<std::size_t>(k_count);
+      const scalar_t* xi =
+          x + static_cast<std::size_t>(entries[static_cast<std::size_t>(j)]) * stride;
       if constexpr (KK > 0) {
         for (int k = 0; k < KK; ++k) acc[k] += v * xi[k];
       } else {
         for (int k = 0; k < kk; ++k) acc[k] += v * xi[k];
       }
     }
-    const std::size_t base = static_cast<std::size_t>(i) * static_cast<std::size_t>(k_count);
+    const std::size_t base = static_cast<std::size_t>(i) * stride;
     const int kw = KK > 0 ? KK : kk;
     for (int k = 0; k < kw; ++k) {
       x_next[base + static_cast<std::size_t>(k)] =
@@ -91,9 +92,9 @@ void jacobi_first_sweep_chunk(const offset_t* row_map, const ordinal_t* entries,
   }
 }
 
-void jacobi_first_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                              std::span<const scalar_t> b, std::span<scalar_t> x_next,
-                              scalar_t omega, int k_count) {
+void jacobi_first_sweep(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                        std::span<const scalar_t> b, std::span<scalar_t> x_next, scalar_t omega,
+                        int k_count) {
   const offset_t* row_map = a.row_map.data();
   const ordinal_t* entries = a.entries.data();
   const scalar_t* values = a.values.data();
@@ -132,13 +133,18 @@ void jacobi_first_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_
   });
 }
 
-void jacobi_sweep_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                        std::span<const scalar_t> b, std::span<const scalar_t> x,
-                        std::span<scalar_t> x_next, scalar_t omega, int k_count) {
+void jacobi_sweep(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                  std::span<const scalar_t> b, std::span<const scalar_t> x,
+                  std::span<scalar_t> x_next, scalar_t omega, int k_count) {
   const offset_t* row_map = a.row_map.data();
   const ordinal_t* entries = a.entries.data();
   const scalar_t* values = a.values.data();
   par::balanced_chunks(a.num_rows, row_map, [&](int, ordinal_t lo, ordinal_t hi) {
+    if (k_count == 1) {
+      jacobi_sweep_chunk<1, true>(row_map, entries, values, inv_diag.data(), b.data(), x.data(),
+                                  x_next.data(), omega, 1, 1, lo, hi);
+      return;
+    }
     for (int k0 = 0; k0 < k_count; k0 += kJacobiGroup) {
       const int kk = k_count - k0 < kJacobiGroup ? k_count - k0 : kJacobiGroup;
       const scalar_t* bg = b.data() + static_cast<std::size_t>(k0);
@@ -200,94 +206,27 @@ void inverted_diagonal_into(const graph::CrsMatrix& a, std::span<scalar_t> d) {
 
 void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                   scalar_t omega) {
-  std::vector<scalar_t> x_next(static_cast<std::size_t>(a.num_rows));
-  jacobi_smooth(a, inv_diag, b, x, sweeps, omega, x_next);
-}
-
-void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                   scalar_t omega, std::span<scalar_t> x_next) {
-  assert(b.size() == static_cast<std::size_t>(a.num_rows));
-  assert(x.size() == static_cast<std::size_t>(a.num_rows));
-  assert(x_next.size() == static_cast<std::size_t>(a.num_rows));
-  for (int s = 0; s < sweeps; ++s) {
-    par::parallel_for(a.num_rows, [&](ordinal_t i) {
-      scalar_t acc = 0;
-      for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
-        acc += a.values[static_cast<std::size_t>(j)] *
-               x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
-      }
-      x_next[static_cast<std::size_t>(i)] =
-          x[static_cast<std::size_t>(i)] +
-          omega * inv_diag[static_cast<std::size_t>(i)] * (b[static_cast<std::size_t>(i)] - acc);
-    });
-    par::parallel_for(a.num_rows, [&](ordinal_t i) {
-      x[static_cast<std::size_t>(i)] = x_next[static_cast<std::size_t>(i)];
-    });
-  }
-}
-
-void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                         std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                         scalar_t omega, std::span<scalar_t> x_next, int k_count) {
-  const std::size_t uk = static_cast<std::size_t>(k_count);
-  const std::size_t nk = static_cast<std::size_t>(a.num_rows) * uk;
+                   scalar_t omega, std::span<scalar_t> x_next, int k_count) {
+  const std::size_t nk = static_cast<std::size_t>(a.num_rows) * static_cast<std::size_t>(k_count);
   assert(k_count > 0);
   assert(b.size() >= nk && x.size() >= nk && x_next.size() >= nk);
   for (int s = 0; s < sweeps; ++s) {
-    jacobi_sweep_multi(a, inv_diag, b, x, x_next, omega, k_count);
+    jacobi_sweep(a, inv_diag, b, x, x_next, omega, k_count);
     par::parallel_for(static_cast<std::int64_t>(nk), [&](std::int64_t t) {
       x[static_cast<std::size_t>(t)] = x_next[static_cast<std::size_t>(t)];
     });
   }
 }
 
-void JacobiPreconditioner::apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
-  const std::size_t un = static_cast<std::size_t>(a_.num_rows);
-  if (sweeps_ <= 0) {
-    par::parallel_for(a_.num_rows, [&](ordinal_t i) { z[static_cast<std::size_t>(i)] = 0; });
-    return;
-  }
-  // First sweep from z = 0: the traversal's accumulator is exactly +0.0
-  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
-  // sweep expression with acc = 0 elementwise produces the identical bits
-  // without touching the matrix — one full traversal saved per apply.
-  // (apply_multi additionally fuses the second sweep's re-read of this
-  // vector; for a single right-hand side the recompute costs more than the
-  // 8-byte read it saves, so the two-pass form stays.)
-  //
-  // Buffers ping-pong so the LAST pass writes z directly: the per-sweep
-  // copy-back of jacobi_smooth is pure data movement, and the sweep values
-  // are identical wherever they land. Odd remaining-sweep counts start the
-  // chain in the scratch buffer, even counts in z.
-  const int rest = sweeps_ - 1;
-  std::span<scalar_t> ping(x_next_.data(), un);
-  std::span<scalar_t> cur = (rest % 2 == 1) ? ping : z;
-  std::span<scalar_t> nxt = (rest % 2 == 1) ? z : ping;
-  par::parallel_for(a_.num_rows, [&](ordinal_t i) {
-    const std::size_t at = static_cast<std::size_t>(i);
-    cur[at] = 0.0 + omega_ * inv_diag_[at] * (r[at] - 0.0);
-  });
-  for (int s = 0; s < rest; ++s) {
-    par::parallel_for(a_.num_rows, [&](ordinal_t i) {
-      scalar_t acc = 0;
-      for (offset_t j = a_.row_map[i]; j < a_.row_map[i + 1]; ++j) {
-        acc += a_.values[static_cast<std::size_t>(j)] *
-               cur[static_cast<std::size_t>(a_.entries[static_cast<std::size_t>(j)])];
-      }
-      nxt[static_cast<std::size_t>(i)] =
-          cur[static_cast<std::size_t>(i)] +
-          omega_ * inv_diag_[static_cast<std::size_t>(i)] *
-              (r[static_cast<std::size_t>(i)] - acc);
-    });
-    std::swap(cur, nxt);
-  }
+void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
+                   scalar_t omega) {
+  std::vector<scalar_t> x_next(static_cast<std::size_t>(a.num_rows));
+  jacobi_smooth(a, inv_diag, b, x, sweeps, omega, x_next);
 }
 
-void JacobiPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z,
-                                       ordinal_t n, int k_count,
-                                       std::span<scalar_t> /*scratch*/) const {
+void JacobiPreconditioner::apply(std::span<const scalar_t> r, std::span<scalar_t> z,
+                                 ordinal_t n, int k_count) const {
   const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
   const std::size_t uk = static_cast<std::size_t>(k_count);
   if (x_next_.size() < nk) x_next_.resize(nk);
@@ -296,22 +235,35 @@ void JacobiPreconditioner::apply_multi(std::span<const scalar_t> r, std::span<sc
                       [&](std::int64_t t) { z[static_cast<std::size_t>(t)] = 0; });
     return;
   }
-  // Same fused from-zero first+second sweep and copy-free buffer ping-pong
-  // as apply(), per lane: the last pass writes z directly.
-  if (sweeps_ == 1) {
-    par::parallel_for(static_cast<std::int64_t>(nk), [&](std::int64_t t) {
-      const std::size_t at = static_cast<std::size_t>(t);
-      z[at] = 0.0 + omega_ * inv_diag_[at / uk] * (r[at] - 0.0);
-    });
-    return;
-  }
-  const int rest = sweeps_ - 2;
+  // First sweep from z = 0: the traversal's accumulator is exactly +0.0
+  // (every term is v * 0.0 and +0.0 + ±0.0 = +0.0), so evaluating the
+  // sweep expression with acc = 0 elementwise produces the identical bits
+  // without touching the matrix — one full traversal saved per apply.
+  // Batches additionally fuse that pass into the second sweep, recomputing
+  // the first iterate from r wherever the second sweep gathers it; for a
+  // single right-hand side the recompute costs more than the 8-byte read
+  // it saves, so K=1 keeps the two-pass form.
+  //
+  // Buffers ping-pong so the LAST pass writes z directly: the per-sweep
+  // copy-back of jacobi_smooth is pure data movement, and the sweep values
+  // are identical wherever they land. Odd remaining-sweep counts start the
+  // chain in the scratch buffer, even counts in z.
+  const bool fused = k_count > 1 && sweeps_ > 1;
+  const int rest = fused ? sweeps_ - 2 : sweeps_ - 1;
   std::span<scalar_t> ping(x_next_.data(), nk);
-  std::span<scalar_t> cur = (rest % 2 == 0) ? z : ping;
-  std::span<scalar_t> nxt = (rest % 2 == 0) ? ping : z;
-  jacobi_first_sweep_multi(a_, inv_diag_, r, cur, omega_, k_count);
+  std::span<scalar_t> cur = (rest % 2 == 1) ? ping : z;
+  std::span<scalar_t> nxt = (rest % 2 == 1) ? z : ping;
+  if (fused) {
+    jacobi_first_sweep(a_, inv_diag_, r, cur, omega_, k_count);
+  } else {
+    par::parallel_for(n, [&](ordinal_t i) {
+      const std::size_t base = static_cast<std::size_t>(i) * uk;
+      const scalar_t t = omega_ * inv_diag_[static_cast<std::size_t>(i)];
+      for (std::size_t c = 0; c < uk; ++c) cur[base + c] = 0.0 + t * (r[base + c] - 0.0);
+    });
+  }
   for (int s = 0; s < rest; ++s) {
-    jacobi_sweep_multi(a_, inv_diag_, r, cur, nxt, omega_, k_count);
+    jacobi_sweep(a_, inv_diag_, r, cur, nxt, omega_, k_count);
     std::swap(cur, nxt);
   }
 }

@@ -20,28 +20,21 @@ namespace parmis::solver {
 /// values, same singularity classification.
 void inverted_diagonal_into(const graph::CrsMatrix& a, std::span<scalar_t> d);
 
-/// `sweeps` iterations of damped Jacobi: x <- x + omega D^{-1} (b - A x).
-/// Fully parallel and deterministic. Allocates its double-buffer; prefer
-/// the scratch overload on hot paths.
+/// `sweeps` iterations of damped Jacobi: x <- x + omega D^{-1} (b - A x),
+/// over n x k_count row-major multi-vectors (element (i, c) at
+/// `i * k_count + c`): one matrix traversal per sweep feeds all K columns,
+/// and column c is bit-identical to the K=1 call on the gathered column.
+/// Fully parallel and deterministic. `x_next` is the caller-owned double
+/// buffer (`a.num_rows * k_count` elements) — what the AMG V-cycle uses for
+/// zero-allocation warm applications.
+void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
+                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
+                   scalar_t omega, std::span<scalar_t> x_next, int k_count = 1);
+
+/// Single-vector `jacobi_smooth` that allocates its double buffer.
 void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
                    std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
                    scalar_t omega);
-
-/// Allocation-free variant: `x_next` is the caller-owned double buffer
-/// (`a.num_rows` elements). This is what the AMG V-cycle and the "jacobi"
-/// preconditioner use for zero-allocation warm applications.
-void jacobi_smooth(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                   std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                   scalar_t omega, std::span<scalar_t> x_next);
-
-/// Batched damped Jacobi over n x k_count row-major multi-vectors: one
-/// matrix traversal per sweep feeds all K columns. Column c is
-/// bit-identical to `jacobi_smooth` on the gathered column (per-row
-/// accumulation in entry order, identical update expression). `x_next` is
-/// the caller-owned double buffer (`a.num_rows * k_count` elements).
-void jacobi_smooth_multi(const graph::CrsMatrix& a, std::span<const scalar_t> inv_diag,
-                         std::span<const scalar_t> b, std::span<scalar_t> x, int sweeps,
-                         scalar_t omega, std::span<scalar_t> x_next, int k_count);
 
 /// Preconditioner adapter: z = M^{-1} r approximated by `sweeps` damped
 /// Jacobi sweeps on A z = r from z = 0. All state (inverted diagonal,
@@ -54,20 +47,20 @@ class JacobiPreconditioner final : public Preconditioner {
       : a_(a), inv_diag_(inverted_diagonal(a)), sweeps_(sweeps), omega_(omega),
         x_next_(static_cast<std::size_t>(a.num_rows)) {}
 
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override;
-  /// Grows the sweep double buffer to `n * k_count` so batched applies up
-  /// to that width allocate nothing.
+  using Preconditioner::apply;
+  /// Damped-Jacobi sweeps on all K columns at once. The double buffer
+  /// grows to `n * k_count` on the first apply wider than `prepare_multi`
+  /// sized it, and is reused warm thereafter.
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+             int k_count) const override;
+  /// Grows the sweep double buffer to `n * k_count` so applies up to that
+  /// width allocate nothing.
   bool prepare_multi(ordinal_t n, int k_count) override {
     const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
     if (x_next_.size() >= nk) return false;
     x_next_.resize(nk);
     return true;
   }
-  /// Fused batched apply: K columns per sweep traversal. The double buffer
-  /// grows to `n * k_count` on the first batched apply (callers that skip
-  /// `prepare_multi`) and is reused warm thereafter.
-  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n, int k_count,
-                   std::span<scalar_t> scratch) const override;
   [[nodiscard]] std::string name() const override { return "jacobi"; }
   [[nodiscard]] std::span<const scalar_t> inv_diag() const { return inv_diag_; }
 

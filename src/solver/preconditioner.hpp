@@ -14,52 +14,45 @@
 
 namespace parmis::solver {
 
-/// Applies z = M^{-1} r for some approximation M of the system matrix.
+/// Applies Z = M^{-1} R for some approximation M of the system matrix.
+///
+/// There is one apply, over n x k_count row-major multi-vectors (element
+/// (i, c) at `i * k_count + c`); single-RHS is its K=1 call. Column c of
+/// Z is bit-identical to the K=1 apply on the gathered column — every
+/// registered preconditioner is columnwise-independent, so a NaN-poisoned
+/// column can never contaminate its batchmates.
 class Preconditioner {
  public:
   virtual ~Preconditioner() = default;
-  virtual void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const = 0;
-  [[nodiscard]] virtual std::string name() const = 0;
 
-  /// Batched apply: Z = M^{-1} R columnwise, for n x k_count row-major
-  /// multi-vectors (element (i, c) at `i * k_count + c`). Column c of Z is
-  /// bit-identical to `apply` on the gathered column — every registered
-  /// preconditioner is columnwise-independent, so a NaN-poisoned column
-  /// can never contaminate its batchmates. The default gathers each column
-  /// through `scratch` (size >= 2 n) and calls `apply`; implementations
-  /// with fused multi-vector kernels override it and ignore `scratch`.
-  /// Pre-size any internal multi-vector scratch for batches of width
-  /// `k_count` on an n-row system, so a subsequent `apply_multi` at that
-  /// width (or narrower) allocates nothing. Returns true when scratch
-  /// grew — `SolveHandle` calls this before the batched solve's
-  /// zero-allocation window and treats growth like workspace growth
-  /// (exempt). The default covers implementations without internal
-  /// multi-vector state.
+  /// Z = M^{-1} R for n x k_count row-major multi-vectors.
+  virtual void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+                     int k_count) const = 0;
+
+  /// Single-RHS apply: the K=1 call.
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const {
+    apply(r, z, static_cast<ordinal_t>(r.size()), 1);
+  }
+
+  /// Pre-size any internal scratch for batches of width `k_count` on an
+  /// n-row system, so a subsequent apply at that width (or narrower)
+  /// allocates nothing. Returns true when scratch grew — `SolveHandle`
+  /// calls this before the batched solve's zero-allocation window and
+  /// treats growth like workspace growth (exempt). The default covers
+  /// implementations without width-dependent state.
   virtual bool prepare_multi(ordinal_t /*n*/, int /*k_count*/) { return false; }
 
-  virtual void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
-                           int k_count, std::span<scalar_t> scratch) const {
-    const std::size_t un = static_cast<std::size_t>(n);
-    const std::size_t k = static_cast<std::size_t>(k_count);
-    std::span<scalar_t> rc = scratch.subspan(0, un);
-    std::span<scalar_t> zc = scratch.subspan(un, un);
-    for (std::size_t c = 0; c < k; ++c) {
-      for (std::size_t i = 0; i < un; ++i) rc[i] = r[i * k + c];
-      apply(rc, zc);
-      for (std::size_t i = 0; i < un; ++i) z[i * k + c] = zc[i];
-    }
-  }
+  [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// No-op preconditioner (M = I).
 class IdentityPreconditioner final : public Preconditioner {
  public:
-  void apply(std::span<const scalar_t> r, std::span<scalar_t> z) const override {
-    std::copy(r.begin(), r.end(), z.begin());
-  }
-  void apply_multi(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t /*n*/,
-                   int /*k_count*/, std::span<scalar_t> /*scratch*/) const override {
-    std::copy(r.begin(), r.end(), z.begin());
+  using Preconditioner::apply;
+  void apply(std::span<const scalar_t> r, std::span<scalar_t> z, ordinal_t n,
+             int k_count) const override {
+    const std::size_t nk = static_cast<std::size_t>(n) * static_cast<std::size_t>(k_count);
+    std::copy_n(r.begin(), nk, z.begin());
   }
   [[nodiscard]] std::string name() const override { return "identity"; }
 };

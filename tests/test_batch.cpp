@@ -8,6 +8,8 @@
 
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <ostream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -23,6 +25,7 @@
 #include "serve/replay.hpp"
 #include "serve/service.hpp"
 #include "solver/handle.hpp"
+#include "solver/interface.hpp"
 #include "solver/multivector.hpp"
 #include "solver/options.hpp"
 #include "solver/vector_ops.hpp"
@@ -253,6 +256,114 @@ TEST(Batch, FaultPoisonsOnlyItsColumn) {
   }
 }
 #endif
+
+// ------------------------------------------------- preconditioner apply
+
+/// One preconditioner configuration the batched-apply contract runs on.
+struct PrecCase {
+  std::string label;  ///< gtest name suffix
+  std::string name;   ///< registry name
+  solver::PrecOptions opts;
+};
+
+/// Every registered preconditioner, plus the AMG variants the registry
+/// defaults leave out: the Chebyshev smoother and the smoother-only bottom
+/// solve (no DenseLU).
+std::vector<PrecCase> prec_cases() {
+  std::vector<PrecCase> cases;
+  for (const std::string& name : solver::preconditioner_names()) {
+    std::string label = name;
+    for (char& ch : label) {
+      if (ch == '-') ch = '_';
+    }
+    cases.push_back({label, name, {}});
+  }
+  solver::PrecOptions cheb;
+  cheb.amg.smoother = solver::SmootherType::Chebyshev;
+  cases.push_back({"amg_chebyshev", "amg", cheb});
+  solver::PrecOptions smoother_bottom;
+  smoother_bottom.amg.direct_size_limit = 1;
+  cases.push_back({"amg_smoother_bottom", "amg", smoother_bottom});
+  return cases;
+}
+
+void PrintTo(const PrecCase& c, std::ostream* os) { *os << c.label; }
+
+class BatchApply : public ::testing::TestWithParam<PrecCase> {};
+
+TEST_P(BatchApply, ColumnsMatchSingleApplyWithoutAllocating) {
+  // Column c of a K-wide apply is bit-identical to the K=1 apply of that
+  // column, for every backend x schedule cell and for widths on both
+  // sides of the 16-lane register block. After prepare_multi(n, kMax),
+  // applies at any width <= kMax allocate nothing.
+  const PrecCase& pc = GetParam();
+  constexpr int kMax = 17;
+  std::vector<graph::CrsMatrix> mats;
+  mats.push_back(graph::laplace3d(11, 11, 11));
+  mats.push_back(graph::laplacian_matrix(graph::power_law_graph(1500, 2.2, 3, 150, 9), 1.0));
+  for (const graph::CrsMatrix& a : mats) {
+    const ordinal_t n = a.num_rows;
+    const std::size_t un = static_cast<std::size_t>(n);
+    std::vector<scalar_t> r(un * kMax);
+    std::vector<scalar_t> z(un * kMax);
+    std::vector<scalar_t> rc(un);
+    std::vector<scalar_t> zc(un);
+    std::vector<scalar_t> zk(un);
+    for (const par::Schedule s : {par::Schedule::Static, par::Schedule::EdgeBalanced}) {
+      for (const auto& [backend, threads] :
+           std::vector<std::pair<par::Backend, int>>{{par::Backend::Serial, 1},
+                                                     {par::Backend::OpenMP, 1},
+                                                     {par::Backend::OpenMP, 3}}) {
+        Context ctx;
+        ctx.backend = backend;
+        ctx.num_threads = threads;
+        ctx.schedule = s;
+        Context::Scope scope(ctx);
+        const std::unique_ptr<solver::Preconditioner> prec =
+            solver::make_preconditioner(pc.name, a, pc.opts, ctx);
+        (void)prec->prepare_multi(n, kMax);
+        const std::string where = "rows=" + std::to_string(n) +
+                                  " backend=" + std::to_string(static_cast<int>(backend)) +
+                                  " threads=" + std::to_string(threads) +
+                                  " schedule=" + std::to_string(static_cast<int>(s));
+        for (const int k : {1, 3, 16, 17}) {
+          const std::size_t nk = un * static_cast<std::size_t>(k);
+          const std::span<scalar_t> rk(r.data(), nk);
+          const std::span<scalar_t> zw(z.data(), nk);
+          solver::random_fill(rk, static_cast<std::uint64_t>(100 + k));
+          std::uint64_t allocs = 0;
+          {
+            check::AllocGuard guard;
+            prec->apply(rk, zw, n, k);
+            allocs = guard.allocations();
+          }
+          if (check::counting_available()) {
+            EXPECT_EQ(0u, allocs) << "k=" << k << " apply allocated, " << where;
+          }
+          for (int c = 0; c < k; ++c) {
+            solver::gather_column(rk, n, k, c, rc);
+            {
+              check::AllocGuard guard;
+              prec->apply(rc, zc);
+              allocs = guard.allocations();
+            }
+            if (check::counting_available()) {
+              EXPECT_EQ(0u, allocs) << "k=1 apply allocated, " << where;
+            }
+            solver::gather_column(zw, n, k, c, zk);
+            ASSERT_EQ(check::digest_hex(check::digest(zc)), check::digest_hex(check::digest(zk)))
+                << "k=" << k << " col=" << c << " " << where;
+          }
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPreconditioners, BatchApply, ::testing::ValuesIn(prec_cases()),
+                         [](const ::testing::TestParamInfo<PrecCase>& info) {
+                           return info.param.label;
+                         });
 
 // ------------------------------------------------------------- serving
 

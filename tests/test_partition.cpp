@@ -6,12 +6,13 @@
 
 #include <numeric>
 
+#include "core/aggregation.hpp"
 #include "graph/generators.hpp"
 #include "graph/ops.hpp"
 #include "graph/rgg.hpp"
 #include "graph/traversal.hpp"
+#include "multilevel/weighted.hpp"
 #include "parallel/execution.hpp"
-#include "partition/coarsen_weighted.hpp"
 #include "partition/partitioner.hpp"
 #include "test_utils.hpp"
 
@@ -102,15 +103,16 @@ TEST(WeightedCoarsen, CutIsPreservedUnderProjection) {
 TEST(Hem, MatchesArePairsOrSingletons) {
   const graph::CrsGraph g = test::adjacency_of(graph::laplace2d(15, 15));
   WeightedGraph wg = WeightedGraph::unit(g);
-  const Matching m = heavy_edge_matching(wg, 7);
-  std::vector<ordinal_t> size(static_cast<std::size_t>(m.num_coarse), 0);
+  core::CoarsenHandle handle;
+  const core::Aggregation& m = handle.aggregate_hem(wg.graph, wg.edge_weight, 7);
+  std::vector<ordinal_t> size(static_cast<std::size_t>(m.num_aggregates), 0);
   for (ordinal_t l : m.labels) ++size[static_cast<std::size_t>(l)];
   for (ordinal_t s : size) {
     EXPECT_GE(s, 1);
     EXPECT_LE(s, 2);
   }
   // A mesh has a near-perfect matching: expect close to n/2 coarse nodes.
-  EXPECT_LT(m.num_coarse, static_cast<ordinal_t>(0.65 * g.num_rows));
+  EXPECT_LT(m.num_aggregates, static_cast<ordinal_t>(0.65 * g.num_rows));
 }
 
 TEST(Hem, PrefersHeavyEdges) {
@@ -126,7 +128,8 @@ TEST(Hem, PrefersHeavyEdges) {
       }
     }
   }
-  const Matching m = heavy_edge_matching(wg, 1);
+  core::CoarsenHandle handle;
+  const core::Aggregation& m = handle.aggregate_hem(wg.graph, wg.edge_weight, 1);
   EXPECT_EQ(m.labels[1], m.labels[2]);
   EXPECT_NE(m.labels[0], m.labels[1]);
 }

@@ -55,13 +55,17 @@ TEST(Spmm, MatchesSpmvPerColumn) {
       std::vector<scalar_t> xc(un);
       std::vector<scalar_t> yc(un);
       std::vector<scalar_t> ref(un);
+      std::vector<scalar_t> plain(un);
       for (int c = 0; c < k; ++c) {
         solver::gather_column(x, n, k, c, std::span<scalar_t>(xc));
         solver::gather_column(y, n, k, c, std::span<scalar_t>(yc));
         graph::spmv(a, xc, ref);
+        test::reference_spmv(a, xc, plain);
         for (std::size_t i = 0; i < un; ++i) {
           ASSERT_EQ(bits(ref[i]), bits(yc[i])) << "rows=" << n << " k=" << k << " col=" << c
                                                << " row=" << i;
+          ASSERT_EQ(bits(plain[i]), bits(yc[i])) << "reference rows=" << n << " k=" << k
+                                                 << " col=" << c << " row=" << i;
         }
       }
     }
@@ -83,12 +87,17 @@ TEST(Spmm, AlphaBetaMatchesSpmvPerColumn) {
 
   std::vector<scalar_t> xc(un);
   std::vector<scalar_t> ref(un);
+  std::vector<scalar_t> plain(un);
   std::vector<std::vector<scalar_t>> refs;
+  std::vector<std::vector<scalar_t>> plains;
   for (int c = 0; c < k; ++c) {
     solver::gather_column(x, n, k, c, std::span<scalar_t>(xc));
     solver::gather_column(y, n, k, c, std::span<scalar_t>(ref));
+    plain = ref;
     graph::spmv(0.75, a, xc, -1.25, ref);
+    test::reference_spmv(0.75, a, xc, -1.25, plain);
     refs.push_back(ref);
+    plains.push_back(plain);
   }
 
   graph::spmm(0.75, a, x, -1.25, y, k);
@@ -98,6 +107,8 @@ TEST(Spmm, AlphaBetaMatchesSpmvPerColumn) {
     for (std::size_t i = 0; i < un; ++i) {
       ASSERT_EQ(bits(refs[static_cast<std::size_t>(c)][i]), bits(yc[i]))
           << "col=" << c << " row=" << i;
+      ASSERT_EQ(bits(plains[static_cast<std::size_t>(c)][i]), bits(yc[i]))
+          << "reference col=" << c << " row=" << i;
     }
   }
 }

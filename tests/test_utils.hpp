@@ -2,6 +2,7 @@
 /// \file test_utils.hpp
 /// \brief Shared fixtures: graph families, adjacency helpers, thread sweeps.
 
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,6 +78,34 @@ inline graph::CrsGraph barbell_graph(ordinal_t clique) {
   }
   e.emplace_back(clique - 1, clique);
   return graph::graph_from_edges(2 * clique, e);
+}
+
+/// y = A x as a plain serial row loop: the oracle the SpMM tests compare
+/// against, independent of the library's spmv/spmm kernels. Each row
+/// accumulates in entry order, the order every kernel promises.
+inline void reference_spmv(const graph::CrsMatrix& a, std::span<const scalar_t> x,
+                           std::span<scalar_t> y) {
+  for (ordinal_t i = 0; i < a.num_rows; ++i) {
+    scalar_t acc = 0;
+    for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
+      acc += a.values[static_cast<std::size_t>(j)] *
+             x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
+    }
+    y[static_cast<std::size_t>(i)] = acc;
+  }
+}
+
+/// y = alpha A x + beta y as a plain serial row loop.
+inline void reference_spmv(scalar_t alpha, const graph::CrsMatrix& a,
+                           std::span<const scalar_t> x, scalar_t beta, std::span<scalar_t> y) {
+  for (ordinal_t i = 0; i < a.num_rows; ++i) {
+    scalar_t acc = 0;
+    for (offset_t j = a.row_map[i]; j < a.row_map[i + 1]; ++j) {
+      acc += a.values[static_cast<std::size_t>(j)] *
+             x[static_cast<std::size_t>(a.entries[static_cast<std::size_t>(j)])];
+    }
+    y[static_cast<std::size_t>(i)] = alpha * acc + beta * y[static_cast<std::size_t>(i)];
+  }
 }
 
 struct NamedGraph {
